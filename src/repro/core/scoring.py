@@ -24,7 +24,6 @@ DOMINANT-style practice; the paper's ε is otherwise scale-dependent).
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional
 
@@ -32,15 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.graph import RelationGraph
-
-
-def fast_score_enabled() -> bool:
-    """True unless ``REPRO_DISABLE_FAST_SCORE=1`` opts back into the
-    sequential tape-recording scoring path (kept as a byte-exact fallback
-    and as the baseline the perf benchmarks compare against). Checked by
-    every layer of the grad-free engine — model, GMAE, serving — so the
-    escape hatch holds even inside an ambient ``no_grad()`` region."""
-    return os.environ.get("REPRO_DISABLE_FAST_SCORE", "") in ("", "0")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -134,71 +124,48 @@ def structure_errors_exact(decoded: np.ndarray, graph: RelationGraph,
 
 def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
                              rng: np.random.Generator,
-                             negatives_per_node: int = 20,
-                             fast: bool = False) -> np.ndarray:
+                             negatives_per_node: int = 20) -> np.ndarray:
     """Neighbor + sampled-negative estimate of the structure row error.
 
     For node ``i``: error over its observed neighbors (should reconstruct
     to ~1) plus ``negatives_per_node`` random non-edges (should be ~0),
     averaged. Unbiased up to the negative subsample, O(E + n·q) total.
 
-    ``fast=True`` (the grad-free scoring engine) draws the identical
-    negative sample and returns bit-identical errors through cheaper
-    kernels: bincount scatter (same accumulation order as ``np.add.at``),
-    a clip-free sigmoid (the cosine logits live in ``±LOGIT_SCALE``, far
-    inside the clip range, so the clamp is the identity), and per-column
-    contractions into preallocated buffers that skip the ``(n, q, f)``
-    gather (verified bit-equal to the one-shot einsum).
+    Kernels: a bincount scatter for the neighbor term, a clip-free sigmoid
+    (the cosine logits live in ``±LOGIT_SCALE``, far inside the clip range
+    of :func:`_sigmoid`, so the clamp would be the identity), and
+    per-column contractions into preallocated buffers that skip the
+    ``(n, q, f)`` gather. The scores they give are pinned by
+    ``tests/fixtures/score_parity.json``.
     """
     n = graph.num_nodes
     z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
     adj = graph.adjacency()
 
-    if fast:
-        if graph.num_edges:
-            src, dst = graph.directed_pairs()
-            logits = LOGIT_SCALE * np.einsum("ij,ij->i", z[src], z[dst])
-            per_edge = np.abs(1.0 / (1.0 + np.exp(-logits)) - 1.0)
-            pos_err = np.bincount(src, weights=per_edge, minlength=n)
-            deg = np.bincount(src, minlength=n).astype(np.float64)
-        else:
-            pos_err = np.zeros(n, dtype=np.float64)
-            deg = np.zeros(n, dtype=np.float64)
-
-        neg_idx = rng.integers(0, n, size=(n, negatives_per_node))
-        # Column-at-a-time contraction: skips materialising the (n, q, f)
-        # gather, which is the hot allocation of the one-shot einsum, and
-        # is verified bit-equal to it (tests/test_grad_mode.py).
-        gathered = np.empty_like(z)
-        neg_pred = np.empty((n, negatives_per_node), dtype=z.dtype)
-        for k in range(negatives_per_node):
-            np.take(z, neg_idx[:, k], axis=0, out=gathered)
-            col = LOGIT_SCALE * np.einsum("ij,ij->i", z, gathered)
-            neg_pred[:, k] = 1.0 / (1.0 + np.exp(-col))
-        rows = _query_rows(n, negatives_per_node)
-        is_edge = _sample_adjacency(adj, rows, neg_idx.ravel()).reshape(
-            n, negatives_per_node)
-        neg_err = np.abs(neg_pred - is_edge).sum(axis=1)
-
-        total = pos_err + neg_err
-        count = deg + negatives_per_node
-        return total / count
-
-    pos_err = np.zeros(n, dtype=np.float64)
-    deg = np.zeros(n, dtype=np.float64)
     if graph.num_edges:
         src, dst = graph.directed_pairs()
         logits = LOGIT_SCALE * np.einsum("ij,ij->i", z[src], z[dst])
-        per_edge = np.abs(_sigmoid(logits) - 1.0)
-        np.add.at(pos_err, src, per_edge)
-        np.add.at(deg, src, 1.0)
+        per_edge = np.abs(1.0 / (1.0 + np.exp(-logits)) - 1.0)
+        pos_err = np.bincount(src, weights=per_edge, minlength=n)
+        deg = np.bincount(src, minlength=n).astype(np.float64)
+    else:
+        pos_err = np.zeros(n, dtype=np.float64)
+        deg = np.zeros(n, dtype=np.float64)
 
     neg_idx = rng.integers(0, n, size=(n, negatives_per_node))
-    neg_logits = LOGIT_SCALE * np.einsum("ij,ikj->ik", z, z[neg_idx])
-    neg_pred = _sigmoid(neg_logits)
+    # Column-at-a-time contraction: skips materialising the (n, q, f)
+    # gather, the hot allocation of a one-shot einsum, and is verified
+    # bit-equal to it (tests/test_grad_mode.py).
+    gathered = np.empty_like(z)
+    neg_pred = np.empty((n, negatives_per_node), dtype=z.dtype)
+    for k in range(negatives_per_node):
+        np.take(z, neg_idx[:, k], axis=0, out=gathered)
+        col = LOGIT_SCALE * np.einsum("ij,ij->i", z, gathered)
+        neg_pred[:, k] = 1.0 / (1.0 + np.exp(-col))
     # Sampled pairs that happen to be true edges contribute |p - 1| instead.
-    rows = np.repeat(np.arange(n), negatives_per_node)
-    is_edge = np.asarray(adj[rows, neg_idx.ravel()]).ravel().reshape(n, negatives_per_node)
+    rows = _query_rows(n, negatives_per_node)
+    is_edge = _sample_adjacency(adj, rows, neg_idx.ravel()).reshape(
+        n, negatives_per_node)
     neg_err = np.abs(neg_pred - is_edge).sum(axis=1)
 
     total = pos_err + neg_err
@@ -209,22 +176,15 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
 def structure_errors(decoded: np.ndarray, graph: RelationGraph,
                      mode: str, rng: np.random.Generator,
                      negatives_per_node: int = 20,
-                     exact_max_nodes: int = 4000,
-                     fast: bool = False) -> np.ndarray:
-    """Dispatch between exact and sampled structure error.
-
-    ``fast`` routes sampled mode through its grad-free kernels (bitwise
-    identical; see :func:`structure_errors_sampled`). Exact mode has no
-    fast variant — it is one blocked BLAS product either way.
-    """
+                     exact_max_nodes: int = 4000) -> np.ndarray:
+    """Dispatch between exact and sampled structure error."""
     if mode == "auto":
         mode = "exact" if graph.num_nodes <= exact_max_nodes else "sampled"
     if mode == "exact":
         return structure_errors_exact(decoded, graph)
     if mode == "sampled":
         return structure_errors_sampled(decoded, graph, rng,
-                                        negatives_per_node=negatives_per_node,
-                                        fast=fast)
+                                        negatives_per_node=negatives_per_node)
     raise ValueError(f"unknown structure score mode {mode!r}")
 
 

@@ -15,6 +15,7 @@ or from the shell::
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -48,16 +49,25 @@ _SECTIONS: List[Tuple[str, object, dict]] = [
 ]
 
 
+def _selects(selector: str, title: str) -> bool:
+    """True if ``selector`` occurs in ``title`` and is not followed by
+    more alphanumerics there, so ``"Table I"`` picks Table I but not
+    Table II or Table IV."""
+    return re.search(re.escape(selector) + r"(?![^\W_])", title) is not None
+
+
 def generate(profile: ExperimentProfile,
              sections: Optional[List[str]] = None) -> str:
     """Run experiments and return the assembled markdown report.
 
     ``sections`` optionally restricts to titles containing any of the given
-    substrings (e.g. ``["Table II", "Fig. 2"]``).
+    substrings (e.g. ``["Table II", "Fig. 2"]``); a substring must not be
+    followed by further alphanumerics in the title.
     """
     parts = [f"# UMGAD reproduction report (profile: {profile.name})", ""]
     for title, module, kwargs in _SECTIONS:
-        if sections is not None and not any(s in title for s in sections):
+        if sections is not None and \
+                not any(_selects(s, title) for s in sections):
             continue
         start = time.perf_counter()
         rows = module.run(profile, **kwargs)
@@ -80,7 +90,8 @@ def main(argv=None) -> int:
                         help="write the report to this path (default stdout)")
     parser.add_argument("--only", nargs="*", default=None,
                         help="restrict to sections whose title contains any "
-                             "of these substrings")
+                             "of these substrings (not followed by more "
+                             "letters or digits: 'Table I' skips Table II)")
     args = parser.parse_args(argv)
     profile = {"fast": FAST, "full": FULL, "sampled": SAMPLED}[args.profile]
     text = generate(profile, sections=args.only)

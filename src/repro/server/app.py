@@ -22,9 +22,10 @@ may supply the header to pick the id themselves.
 
 Error contract: every failure is an HTTP response with a JSON
 ``{"error": ...}`` body — 400 malformed payloads, 404 unknown resources,
-409 requests the loaded model cannot answer, 429 admission-queue overflow,
-503 shutdown/timeout, 500 bugs. Overload never silently drops a
-connection; the 429 path is exercised by ``benchmarks/test_server_perf.py``.
+409 requests the loaded model cannot answer, 413 bodies over the size
+limit, 429 admission-queue overflow, 503 shutdown/timeout, 500 bugs.
+Overload never silently drops a connection; the 429 path is exercised by
+``benchmarks/test_server_perf.py``.
 """
 
 from __future__ import annotations
@@ -128,12 +129,15 @@ class ServerHandler(BaseHTTPRequestHandler):
         except ValueError:
             self.close_connection = True
             raise GatewayError("invalid Content-Length header", 400) from None
-        if length < 0 or length > _MAX_BODY_BYTES:
+        if length < 0:
+            self.close_connection = True
+            raise GatewayError("invalid Content-Length header", 400)
+        if length > _MAX_BODY_BYTES:
             # Refusing to read the body leaves it in the stream; close
             # instead of letting it masquerade as the next request line.
             self.close_connection = True
             raise GatewayError(
-                f"request body too large (> {_MAX_BODY_BYTES} bytes)", 400)
+                f"request body too large (> {_MAX_BODY_BYTES} bytes)", 413)
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)

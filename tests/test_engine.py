@@ -428,6 +428,19 @@ class TestSpmmCsrContract:
         out = sparse_mod.spmm(coo.tocsr(), Tensor(np.ones((3, 2))))
         np.testing.assert_array_equal(out.data, np.ones((3, 2)))
 
+    def test_umgad_fit_and_score_in_debug_mode(self, monkeypatch):
+        # Training and the grad-free scoring engine must only ever hand
+        # spmm CSR operators: a silent conversion fails here.
+        from repro.autograd import sparse as sparse_mod
+
+        monkeypatch.setattr(sparse_mod, "DEBUG_ASSERT_CSR", True)
+        graph = random_multiplex(60, 2, 8, np.random.default_rng(0),
+                                 avg_degree=3.0)
+        model = UMGAD(UMGADConfig(epochs=2, seed=0, encoder_layers=2))
+        for scores in (model.fit(graph).decision_scores(),
+                       model.score_graph(graph)):
+            assert scores.shape == (60,) and np.isfinite(scores).all()
+
     def test_propagators_are_csr_with_cached_transpose(self, tiny_relation):
         prop = tiny_relation.sym_propagator()
         assert prop.format == "csr"

@@ -1,11 +1,16 @@
-"""Bitwise parity of the grad-free scoring engine vs the seed path.
+"""Bitwise parity of the scoring engine with the recorded seed behaviour.
 
 ``tests/fixtures/score_parity.json`` pins ``decision_scores`` recorded by
-the sequential tape-recording path (``REPRO_DISABLE_FAST_SCORE=1``) for
-UMGAD — every Fig. 6 mode plus the w/o-M ablation — and a sample of
-baselines, so neither path drifts from the seed behaviour. The in-process
-tests additionally assert the two paths are **bit-identical** to each
-other, which is the fast engine's contract.
+the sequential tape-recording scorer that preceded the grad-free engine:
+
+* ``umgad`` — every Fig. 6 mode plus the w/o-M ablation on a small retail
+  dataset;
+* ``baselines`` — a sample of baselines on the same dataset;
+* ``legacy_cases`` — sampled structure scoring on a random multiplex, a
+  float32 model, and a :class:`~repro.serve.DetectorService` scoring a
+  graph it was not trained on.
+
+There is one scoring path; each test asserts it against the fixture.
 """
 
 import json
@@ -17,7 +22,6 @@ import pytest
 from repro.baselines import make_baseline
 from repro.core import UMGAD, UMGADConfig
 from repro.core.config import ablation_config
-from repro.core.model import fast_score_enabled
 from repro.datasets import load_dataset
 from repro.graphs import random_multiplex
 
@@ -45,56 +49,18 @@ def _variant_config(name: str) -> UMGADConfig:
     return base.variant(mode=name)
 
 
-class TestFlag:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_FAST_SCORE", raising=False)
-        assert fast_score_enabled()
-        monkeypatch.setenv("REPRO_DISABLE_FAST_SCORE", "0")
-        assert fast_score_enabled()
-
-    def test_env_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_FAST_SCORE", "1")
-        assert not fast_score_enabled()
-
-    def test_flag_holds_inside_ambient_no_grad(self, monkeypatch):
-        # The escape hatch must disable the batched kernels even when the
-        # caller wraps scoring in their own no_grad() — the model checks
-        # the flag, not just the grad state.
-        from unittest import mock
-
-        from repro.autograd import no_grad
-        from repro.core.gmae import GMAE
-
-        rng = np.random.default_rng(12)
-        graph = random_multiplex(30, 2, 5, rng, avg_degree=3.0)
-        model = UMGAD(UMGADConfig(epochs=1, seed=0)).fit(graph)
-        monkeypatch.setenv("REPRO_DISABLE_FAST_SCORE", "1")
-        with mock.patch.object(GMAE, "impute_grouped",
-                               side_effect=AssertionError(
-                                   "batched kernel ran despite the flag")):
-            with no_grad():
-                scores = model.score_graph(graph)
-        assert scores.shape == (30,)
+def _assert_pinned(scores: np.ndarray, pinned) -> None:
+    assert scores.tolist() == pytest.approx(pinned, rel=1e-12)
 
 
 class TestUMGADParity:
     @pytest.mark.parametrize("variant", ["full", "att", "str", "sub",
                                          "wo_mask"])
     def test_fast_equals_legacy_and_fixture(self, variant, parity,
-                                            parity_dataset, monkeypatch):
-        graph = parity_dataset.graph
-        cfg = _variant_config(variant)
-
-        monkeypatch.setenv("REPRO_DISABLE_FAST_SCORE", "1")
-        legacy = UMGAD(cfg).fit(graph).decision_scores()
-        monkeypatch.delenv("REPRO_DISABLE_FAST_SCORE")
-        fast = UMGAD(cfg).fit(graph).decision_scores()
-
-        # the two paths agree bit for bit on this machine...
-        assert np.array_equal(legacy, fast)
-        # ...and neither drifted from the recorded seed behaviour
-        pinned = parity["umgad"][variant]
-        assert legacy.tolist() == pytest.approx(pinned, rel=1e-12)
+                                            parity_dataset):
+        scores = UMGAD(_variant_config(variant)).fit(
+            parity_dataset.graph).decision_scores()
+        _assert_pinned(scores, parity["umgad"][variant])
 
     def test_score_graph_deterministic_and_matches_fit(self, parity_dataset):
         graph = parity_dataset.graph
@@ -103,18 +69,16 @@ class TestUMGADParity:
         second = model.score_graph(graph)
         assert np.array_equal(first, second)
 
-    def test_fast_equals_legacy_on_random_multiplex(self, monkeypatch):
+    def test_fast_equals_legacy_on_random_multiplex(self, parity):
         rng = np.random.default_rng(9)
         graph = random_multiplex(70, 3, 8, rng, avg_degree=4.0)
         cfg = UMGADConfig(epochs=3, seed=1, encoder_layers=2,
                           structure_score_mode="sampled")
-        monkeypatch.setenv("REPRO_DISABLE_FAST_SCORE", "1")
-        legacy = UMGAD(cfg).fit(graph).decision_scores()
-        monkeypatch.delenv("REPRO_DISABLE_FAST_SCORE")
-        fast = UMGAD(cfg).fit(graph).decision_scores()
-        assert np.array_equal(legacy, fast)
+        scores = UMGAD(cfg).fit(graph).decision_scores()
+        _assert_pinned(scores,
+                       parity["legacy_cases"]["random_multiplex_sampled"])
 
-    def test_float32_parity(self, monkeypatch):
+    def test_float32_parity(self, parity):
         from repro.autograd import get_default_dtype, set_default_dtype
 
         previous = get_default_dtype()
@@ -123,27 +87,22 @@ class TestUMGADParity:
             rng = np.random.default_rng(10)
             graph = random_multiplex(40, 2, 6, rng, avg_degree=3.0)
             cfg = UMGADConfig(epochs=2, seed=0)
-            monkeypatch.setenv("REPRO_DISABLE_FAST_SCORE", "1")
-            legacy = UMGAD(cfg).fit(graph).decision_scores()
-            monkeypatch.delenv("REPRO_DISABLE_FAST_SCORE")
-            fast = UMGAD(cfg).fit(graph).decision_scores()
-            assert np.array_equal(legacy, fast)
+            scores = UMGAD(cfg).fit(graph).decision_scores()
         finally:
             set_default_dtype(previous)
+        _assert_pinned(scores, parity["legacy_cases"]["float32"])
 
 
 class TestBaselineParity:
     @pytest.mark.parametrize("method", ["DOMINANT", "CoLA"])
     def test_scores_match_fixture(self, method, parity, parity_dataset):
         det = make_baseline(method, seed=0, epochs=6).fit(parity_dataset.graph)
-        pinned = parity["baselines"][method]
-        assert det.decision_scores().tolist() == pytest.approx(pinned,
-                                                               rel=1e-12)
+        _assert_pinned(det.decision_scores(), parity["baselines"][method])
 
 
 class TestServingParity:
-    def test_service_scores_identical_both_paths(self, parity_dataset,
-                                                 tmp_path, monkeypatch):
+    def test_service_scores_identical_both_paths(self, parity, parity_dataset,
+                                                 tmp_path):
         from repro.serve import DetectorService
 
         graph = parity_dataset.graph
@@ -153,9 +112,5 @@ class TestServingParity:
         fresh = random_multiplex(graph.num_nodes, graph.num_relations,
                                  graph.num_features,
                                  np.random.default_rng(77), avg_degree=3.0)
-
-        monkeypatch.setenv("REPRO_DISABLE_FAST_SCORE", "1")
-        legacy = DetectorService(path).scores(fresh).copy()
-        monkeypatch.delenv("REPRO_DISABLE_FAST_SCORE")
-        fast = DetectorService(path).scores(fresh).copy()
-        assert np.array_equal(legacy, fast)
+        scores = DetectorService(path).scores(fresh).copy()
+        _assert_pinned(scores, parity["legacy_cases"]["service_fresh"])

@@ -39,7 +39,9 @@ class TestReport:
         code = report.main(["--profile", "fast", "--out", str(out),
                             "--only", "Table I"])
         assert code == 0
-        assert "Table I" in out.read_text()
+        text = out.read_text()
+        assert "Table I" in text
+        assert "Table II" not in text
 
 
 def _two_community_graph(n=120, f=12, seed=0):

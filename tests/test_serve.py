@@ -439,6 +439,25 @@ class TestServeBench:
         with pytest.raises(ValueError, match="requests"):
             run_serve_bench(checkpoint, tiny_dataset.graph, requests=0)
 
+    def test_trained_graph_first_request_is_labelled_stored(
+            self, checkpoint, tiny_dataset):
+        result = run_serve_bench(checkpoint, tiny_dataset.graph, requests=1)
+        assert result.cold_source == "stored"
+        assert result.to_dict()["cold_source"] == "stored"
+        assert "stored training-graph scores" in result.render()
+        assert "full scoring pass" not in result.render()
+
+    def test_fresh_graph_first_request_is_labelled_scored(
+            self, checkpoint, tiny_dataset):
+        graph = tiny_dataset.graph
+        fresh = random_multiplex(graph.num_nodes, graph.num_relations,
+                                 graph.num_features,
+                                 np.random.default_rng(5), avg_degree=3.0)
+        result = run_serve_bench(checkpoint, fresh, requests=1)
+        assert result.cold_source == "scored"
+        assert result.to_dict()["cold_source"] == "scored"
+        assert "full scoring pass" in result.render()
+
 
 class TestServeCLI:
     def test_save_then_score_round_trip(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ client — request framing, keep-alive, admission control and error mapping
 are all exercised over an actual socket.
 """
 
+import json
 import threading
 import time
 
@@ -406,23 +407,27 @@ class TestHTTPEndpoints:
         assert excinfo.value.status == 409
         assert "features" in excinfo.value.message
 
-    def test_oversized_body_is_400_and_framing_survives(self, served):
-        """An over-limit Content-Length is refused without reading the
-        body, and the connection is closed so the unread bytes cannot
-        masquerade as the next request; the client reconnects."""
+    def test_oversized_body_is_413_and_framing_survives(self, served):
+        """An over-limit Content-Length is refused with 413 without reading
+        the body, and the connection is closed so unread bytes cannot
+        masquerade as the next request; the client reconnects. Only the
+        headers are sent: the server answers before any body arrives."""
         import http.client as http_client
+
+        from repro.server.app import _MAX_BODY_BYTES
 
         server, _client, _registry = served
         connection = http_client.HTTPConnection("127.0.0.1", server.port,
                                                 timeout=10.0)
         connection.request(
-            "POST", "/v1/score", body=b"x",
+            "POST", "/v1/score",
             headers={"Content-Type": "application/json",
-                     "Content-Length": str(200 * 1024 * 1024)})
+                     "Content-Length": str(_MAX_BODY_BYTES + 1)})
         response = connection.getresponse()
-        assert response.status == 400
+        assert response.status == 413
         assert response.headers.get("Connection") == "close"
-        response.read()
+        assert json.loads(response.read()) == {
+            "error": f"request body too large (> {_MAX_BODY_BYTES} bytes)"}
         connection.close()
         # the server is still healthy for new connections
         with ServerClient(port=server.port) as fresh:
